@@ -59,7 +59,9 @@ impl AppId {
         opts: &stream_sched::CompileOptions,
         strip_scale: u32,
     ) -> AppProgram {
-        match self {
+        let mut span = stream_trace::span("apps", "program");
+        span.arg("app", self.name());
+        let app = match self {
             AppId::Render => {
                 render::program_with(&render::Config::paper(), machine, opts, strip_scale)
             }
@@ -74,7 +76,9 @@ impl AppId {
             AppId::Fft4k => {
                 fft_app::program_with(&fft_app::Config::fft4k(), machine, opts, strip_scale)
             }
-        }
+        };
+        span.arg("instrs", app.program.instrs().len());
+        app
     }
 
     /// The IR kernels this application's program calls, built for
@@ -131,8 +135,9 @@ impl fmt::Display for AppId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use stream_machine::SystemParams;
-    use stream_sim::simulate;
+    use stream_sim::{simulate, StreamInstr};
 
     #[test]
     fn all_apps_build_and_simulate_on_baseline() {
@@ -154,6 +159,39 @@ mod tests {
             let b = format!("{:?}", id.program_with(&m, &opts, 1).program);
             assert_eq!(a, b, "{id}: strip_scale=1 must rebuild the default");
         }
+    }
+
+    #[test]
+    fn kernel_calls_reference_the_global_cache() {
+        let m = Machine::baseline();
+        let opts = stream_sched::CompileOptions::default();
+        let cached: Vec<_> = AppId::Depth
+            .kernels(&m)
+            .iter()
+            .map(|k| {
+                let compiled = stream_grid::global_cache()
+                    .get_or_compile(k, &m, &opts)
+                    .unwrap();
+                (k.name().to_string(), compiled)
+            })
+            .collect();
+        let app = AppId::Depth.program(&m);
+        let mut calls = 0;
+        for instr in app.program.instrs() {
+            if let StreamInstr::Kernel { kernel, .. } = instr {
+                let (_, shared) = cached
+                    .iter()
+                    .find(|(name, _)| name == kernel.name())
+                    .unwrap_or_else(|| panic!("unknown kernel {}", kernel.name()));
+                assert!(
+                    Arc::ptr_eq(kernel, shared),
+                    "{} call holds a copy, not the cached kernel",
+                    kernel.name()
+                );
+                calls += 1;
+            }
+        }
+        assert!(calls > 0);
     }
 
     #[test]

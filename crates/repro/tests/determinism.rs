@@ -1,8 +1,13 @@
 //! The sweep engine's central guarantee: the rendered report of every
 //! experiment is byte-identical no matter how many worker threads ran it.
 
+use std::sync::{Mutex, PoisonError};
 use stream_grid::Engine;
 use stream_repro::{run_many, run_with, ExperimentId};
+
+/// Tracing is process-global: tests that enable it and collect the events
+/// hold this lock so their windows never overlap.
+static TRACING: Mutex<()> = Mutex::new(());
 
 /// A mixed subset cheap enough for the test but covering every sweep shape:
 /// a compile grid (fig13), a two-options-per-kernel sweep (ablation_swp), a
@@ -36,6 +41,7 @@ fn tracing_does_not_change_rendered_reports() {
     // process, so a cache-warm traced run would never reach the scheduler
     // and the span assertions below would see no "sched" events.
     let id = ExperimentId::Fig14;
+    let _tracing = TRACING.lock().unwrap_or_else(PoisonError::into_inner);
     stream_trace::enable();
     let traced = run_with(id, &Engine::new(2)).to_string();
     let traced_serial = run_with(id, &Engine::new(1)).to_string();
@@ -54,6 +60,29 @@ fn tracing_does_not_change_rendered_reports() {
             events.iter().any(|e| e.cat == cat),
             "no {cat} span collected"
         );
+    }
+}
+
+#[test]
+fn traced_fig15_attributes_program_building() {
+    // Figure 15 builds every application's stream program on each machine;
+    // each build is its own `apps/program` span, naming the application
+    // and the instruction count.
+    let _tracing = TRACING.lock().unwrap_or_else(PoisonError::into_inner);
+    stream_trace::enable();
+    let _ = run_with(ExperimentId::Fig15, &Engine::new(2));
+    stream_trace::disable();
+    let events = stream_trace::take_events();
+    let programs: Vec<_> = events
+        .iter()
+        .filter(|e| e.cat == "apps" && e.name == "program")
+        .collect();
+    assert!(!programs.is_empty(), "no apps/program span collected");
+    for e in &programs {
+        let arg = |key: &str| e.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+        assert!(arg("app").is_some(), "{e:?}");
+        let instrs: usize = arg("instrs").expect("instrs arg").parse().unwrap();
+        assert!(instrs > 0, "{e:?}");
     }
 }
 

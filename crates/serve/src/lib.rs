@@ -300,6 +300,47 @@ mod tests {
         assert_eq!(route(&get("/v1/run/table1?format=xml"), &p).status, 400);
     }
 
+    /// A tune point whose default program overflows the SRF is a 422 with
+    /// the simulator's message, memoized like a result, and the daemon
+    /// keeps answering.
+    #[test]
+    fn untunable_points_are_422_and_the_daemon_survives() {
+        let handle = start(&ServerConfig {
+            addr: None,
+            workers: Some(2),
+            cache_root: None,
+        })
+        .unwrap();
+        let addr = handle.addr();
+        let fetch = |request: &str| -> String {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(request.as_bytes()).unwrap();
+            let mut wire = String::new();
+            conn.read_to_string(&mut wire).unwrap();
+            wire
+        };
+        let get_req =
+            |path: &str| format!("GET {path} HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n");
+
+        for app in ["RENDER", "FFT4K"] {
+            let path = format!("/v1/tune?app={app}&clusters=8&alus_per_cluster=2");
+            let wire = fetch(&get_req(&path));
+            assert!(wire.starts_with("HTTP/1.1 422"), "{wire}");
+            assert!(wire.contains("srf overflow"), "{wire}");
+            // The failure is memoized: the repeat is the same answer.
+            let again = fetch(&get_req(&path));
+            let body = |w: &str| w.split("\r\n\r\n").nth(1).unwrap().to_string();
+            assert_eq!(body(&again), body(&wire));
+        }
+        let good = fetch(&get_req("/v1/tune?app=fft1k&clusters=8&alus_per_cluster=2"));
+        assert!(good.starts_with("HTTP/1.1 200"), "{good}");
+        assert!(good.contains("\"stream-scaling.tune.v1\""), "{good}");
+
+        let shutdown = fetch("POST /v1/shutdown HTTP/1.1\r\nhost: x\r\ncontent-length: 0\r\n\r\n");
+        assert!(shutdown.starts_with("HTTP/1.1 200"), "{shutdown}");
+        handle.join();
+    }
+
     /// Full socket-level smoke: start, serve two concurrent clients, check
     /// stats, shut down via the endpoint.
     #[test]

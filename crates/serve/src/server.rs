@@ -496,7 +496,16 @@ fn tune_response(request: &Request, planner: &Planner) -> Response {
         Ok(n) => n,
         Err(resp) => return resp,
     };
-    let t = planner.tuned(app, clusters, alus);
+    let t = match planner.tuned(app, clusters, alus) {
+        Ok(t) => t,
+        Err(e) => {
+            return error_response(
+                422,
+                &format!("{app} cannot run at C={clusters} N={alus}: {e}"),
+                None,
+            )
+        }
+    };
     let winner = object([
         (
             "unroll_factors",

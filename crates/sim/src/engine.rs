@@ -173,7 +173,6 @@ pub fn simulate(
                 dst,
                 words,
                 pattern,
-                ..
             } => {
                 let start = issue_done.max(mem_bw_free);
                 stalls[if start == issue_done { 0 } else { 2 }] += 1;
@@ -320,10 +319,11 @@ pub fn fits_in_srf(machine: &Machine, words: u64, slack: f64) -> bool {
 mod tests {
     use super::*;
     use crate::ProgramBuilder;
+    use std::sync::Arc;
     use stream_ir::{KernelBuilder, Ty};
     use stream_sched::CompiledKernel;
 
-    fn work_kernel(machine: &Machine, flops: usize) -> CompiledKernel {
+    fn work_kernel(machine: &Machine, flops: usize) -> Arc<CompiledKernel> {
         let mut kb = KernelBuilder::new("work");
         let s = kb.in_stream(Ty::F32);
         let o = kb.out_stream(Ty::F32);
@@ -333,13 +333,13 @@ mod tests {
             acc = kb.add(acc, x);
         }
         kb.write(o, acc);
-        CompiledKernel::compile_default(&kb.finish().unwrap(), machine).unwrap()
+        Arc::new(CompiledKernel::compile_default(&kb.finish().unwrap(), machine).unwrap())
     }
 
     fn simple_program(machine: &Machine, words: u64, flops: usize) -> StreamProgram {
         let k = work_kernel(machine, flops);
         let mut p = ProgramBuilder::new();
-        let a = p.load("in", words);
+        let a = p.load(words);
         let outs = p.kernel(&k, &[a], &[words], words);
         p.store(outs[0]);
         p.finish()
@@ -407,7 +407,7 @@ mod tests {
         let k = work_kernel(&m, 2);
         let mut p = ProgramBuilder::new();
         let ghost = StreamVar(7);
-        let _ = p.load("x", 64); // stream 0
+        let _ = p.load(64); // stream 0
         let _o = p.kernel(&k, &[ghost], &[64], 64);
         let err = simulate(&p.finish(), &m, &SystemParams::paper_2007());
         assert!(err.is_err());
@@ -421,9 +421,9 @@ mod tests {
         let k = work_kernel(&m, 40);
         let words = 1 << 12;
         let mut p = ProgramBuilder::new();
-        let a = p.load("a", words);
+        let a = p.load(words);
         let outs = p.kernel(&k, &[a], &[words], words);
-        let b = p.load("b", words);
+        let b = p.load(words);
         let outs2 = p.kernel(&k, &[b], &[words], words);
         p.store(outs[0]);
         p.store(outs2[0]);
@@ -469,7 +469,7 @@ mod tests {
         let k = work_kernel(&m, 2);
         let run = |pattern: crate::AccessPattern| -> u64 {
             let mut p = ProgramBuilder::new();
-            let a = p.load_patterned("in", 4096, pattern);
+            let a = p.load_patterned(4096, pattern);
             let outs = p.kernel(&k, &[a], &[4096], 4096);
             p.store_patterned(outs[0], pattern);
             simulate(&p.finish(), &m, &sys).unwrap().cycles

@@ -5,6 +5,7 @@
 //! what the host processor issues to the stream controller (Section 2.2).
 
 use std::fmt;
+use std::sync::Arc;
 use stream_sched::CompiledKernel;
 
 /// The DRAM access pattern of a memory transfer. The streaming memory
@@ -33,10 +34,6 @@ impl fmt::Display for StreamVar {
 }
 
 /// One stream instruction.
-// Kernel invocations carry their compiled schedule, which dwarfs the other
-// variants; programs hold few instructions relative to their cost, so the
-// padding is irrelevant.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum StreamInstr {
     /// Declare a stream already resident in the SRF at time zero (no
@@ -54,8 +51,6 @@ pub enum StreamInstr {
         dst: StreamVar,
         /// Transfer size in words.
         words: u64,
-        /// Label for reports.
-        label: String,
         /// DRAM access pattern.
         pattern: AccessPattern,
     },
@@ -68,8 +63,10 @@ pub enum StreamInstr {
     },
     /// Run a compiled kernel over input streams, producing output streams.
     Kernel {
-        /// The compiled kernel (timing comes from its schedule).
-        kernel: CompiledKernel,
+        /// The compiled kernel (timing comes from its schedule), shared
+        /// with the kernel cache and every other call of the same kernel —
+        /// the instruction names the kernel, it does not copy it.
+        kernel: Arc<CompiledKernel>,
         /// SRF streams consumed.
         inputs: Vec<StreamVar>,
         /// SRF streams produced, with their sizes in words.
@@ -145,6 +142,7 @@ impl StreamProgram {
 /// ```
 /// use stream_sim::ProgramBuilder;
 /// use stream_machine::Machine;
+/// use std::sync::Arc;
 /// use stream_sched::CompiledKernel;
 /// use stream_ir::{KernelBuilder, Ty};
 ///
@@ -154,10 +152,10 @@ impl StreamProgram {
 /// let o = kb.out_stream(Ty::I32);
 /// let x = kb.read(s);
 /// kb.write(o, x);
-/// let kernel = CompiledKernel::compile_default(&kb.finish()?, &machine)?;
+/// let kernel = Arc::new(CompiledKernel::compile_default(&kb.finish()?, &machine)?);
 ///
 /// let mut p = ProgramBuilder::new();
-/// let input = p.load("pixels", 4096);
+/// let input = p.load(4096);
 /// let out = p.kernel(&kernel, &[input], &[4096], 4096);
 /// p.store(out[0]);
 /// let program = p.finish();
@@ -190,32 +188,28 @@ impl ProgramBuilder {
     }
 
     /// Loads `words` from memory into a new stream (sequential pattern).
-    pub fn load(&mut self, label: impl Into<String>, words: u64) -> StreamVar {
-        self.load_patterned(label, words, AccessPattern::Sequential)
+    pub fn load(&mut self, words: u64) -> StreamVar {
+        self.load_patterned(words, AccessPattern::Sequential)
     }
 
     /// Loads `words` with an explicit DRAM access pattern.
-    pub fn load_patterned(
-        &mut self,
-        label: impl Into<String>,
-        words: u64,
-        pattern: AccessPattern,
-    ) -> StreamVar {
+    pub fn load_patterned(&mut self, words: u64, pattern: AccessPattern) -> StreamVar {
         let dst = self.new_stream(words);
         self.program.instrs.push(StreamInstr::Load {
             dst,
             words,
-            label: label.into(),
             pattern,
         });
         dst
     }
 
     /// Runs `kernel` over `inputs`, producing one stream per entry of
-    /// `output_words`; `records` is the stream length in records.
+    /// `output_words`; `records` is the stream length in records. The
+    /// instruction shares `kernel` (one reference count), it never copies
+    /// the schedule.
     pub fn kernel(
         &mut self,
-        kernel: &CompiledKernel,
+        kernel: &Arc<CompiledKernel>,
         inputs: &[StreamVar],
         output_words: &[u64],
         records: u64,
@@ -226,7 +220,7 @@ impl ProgramBuilder {
             .collect();
         let vars: Vec<StreamVar> = outputs.iter().map(|&(v, _)| v).collect();
         self.program.instrs.push(StreamInstr::Kernel {
-            kernel: kernel.clone(),
+            kernel: Arc::clone(kernel),
             inputs: inputs.to_vec(),
             outputs,
             records,
@@ -258,21 +252,23 @@ mod tests {
     use stream_ir::{KernelBuilder, Ty};
     use stream_machine::Machine;
 
-    fn copy_kernel() -> CompiledKernel {
+    fn copy_kernel() -> Arc<CompiledKernel> {
         let mut kb = KernelBuilder::new("copy");
         let s = kb.in_stream(Ty::I32);
         let o = kb.out_stream(Ty::I32);
         let x = kb.read(s);
         let y = kb.add(x, x);
         kb.write(o, y);
-        CompiledKernel::compile_default(&kb.finish().unwrap(), &Machine::baseline()).unwrap()
+        Arc::new(
+            CompiledKernel::compile_default(&kb.finish().unwrap(), &Machine::baseline()).unwrap(),
+        )
     }
 
     #[test]
     fn builder_assigns_stream_ids() {
         let k = copy_kernel();
         let mut p = ProgramBuilder::new();
-        let a = p.load("a", 100);
+        let a = p.load(100);
         let outs = p.kernel(&k, &[a], &[100, 50], 100);
         p.store(outs[0]);
         let prog = p.finish();
@@ -285,12 +281,36 @@ mod tests {
     fn totals_account_memory_and_alu() {
         let k = copy_kernel();
         let mut p = ProgramBuilder::new();
-        let a = p.load("a", 256);
+        let a = p.load(256);
         let outs = p.kernel(&k, &[a], &[256], 256);
         p.store(outs[0]);
         let prog = p.finish();
         assert_eq!(prog.total_memory_words(), 512);
         // One i32 add per record.
         assert_eq!(prog.total_alu_ops(), 256);
+    }
+
+    #[test]
+    fn kernel_calls_share_the_callers_arc() {
+        let k = copy_kernel();
+        let before = Arc::strong_count(&k);
+        let mut p = ProgramBuilder::new();
+        let mut s = p.load(64);
+        const CALLS: usize = 5;
+        for _ in 0..CALLS {
+            s = p.kernel(&k, &[s], &[64], 64)[0];
+        }
+        let prog = p.finish();
+        assert_eq!(Arc::strong_count(&k), before + CALLS);
+        let mut calls = 0;
+        for instr in prog.instrs() {
+            if let StreamInstr::Kernel { kernel, .. } = instr {
+                assert!(Arc::ptr_eq(kernel, &k), "kernel call deep-copied");
+                calls += 1;
+            }
+        }
+        assert_eq!(calls, CALLS);
+        drop(prog);
+        assert_eq!(Arc::strong_count(&k), before);
     }
 }

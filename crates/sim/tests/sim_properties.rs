@@ -2,12 +2,13 @@
 //! panic, obey causality, and respond monotonically to resources.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use stream_ir::{KernelBuilder, Ty};
 use stream_machine::{Machine, SystemParams};
 use stream_sched::CompiledKernel;
 use stream_sim::{simulate, ProgramBuilder, StreamProgram, StreamVar};
 
-fn work_kernel(machine: &Machine, flops: usize) -> CompiledKernel {
+fn work_kernel(machine: &Machine, flops: usize) -> Arc<CompiledKernel> {
     let mut kb = KernelBuilder::new("work");
     let s = kb.in_stream(Ty::F32);
     let o = kb.out_stream(Ty::F32);
@@ -17,7 +18,7 @@ fn work_kernel(machine: &Machine, flops: usize) -> CompiledKernel {
         acc = kb.add(acc, x);
     }
     kb.write(o, acc);
-    CompiledKernel::compile_default(&kb.finish().unwrap(), machine).unwrap()
+    Arc::new(CompiledKernel::compile_default(&kb.finish().unwrap(), machine).unwrap())
 }
 
 /// A random but well-formed program: a chain of load -> kernel -> ...
@@ -30,7 +31,7 @@ fn random_program(machine: &Machine, script: &[u8]) -> StreamProgram {
         match op % 4 {
             0 | 1 => {
                 let words = 64 * (1 + u64::from(op % 8));
-                live.push(p.load(format!("l{op}"), words));
+                live.push(p.load(words));
             }
             2 => {
                 if let Some(&src) = live.last() {

@@ -85,7 +85,7 @@ use stream_apps::AppId;
 use stream_ir::{Kernel, Tape};
 use stream_machine::{Machine, SystemParams};
 use stream_sched::{CompileOptions, SearchMemo};
-use stream_sim::{simulate, StreamInstr, StreamProgram};
+use stream_sim::{simulate, SimError, StreamInstr, StreamProgram};
 use stream_trace::Counter;
 
 /// Work floor below which the native tier would refuse to engage anyway
@@ -293,11 +293,17 @@ fn pick_tier(kernels: &[Kernel], program: &StreamProgram) -> (TapeTier, bool) {
     (best, native_auto)
 }
 
-fn default_report(id: AppId, machine: &Machine, sys: &SystemParams) -> (StreamProgram, u64) {
+/// The default program and its simulated cycles. An application whose
+/// default program cannot run on `machine` (its strips overflow a small
+/// SRF) has no baseline to tune against, so the error is the verdict.
+fn default_report(
+    id: AppId,
+    machine: &Machine,
+    sys: &SystemParams,
+) -> Result<(StreamProgram, u64), SimError> {
     let app = id.program_with(machine, &CompileOptions::default(), 1);
-    let report = simulate(&app.program, machine, sys)
-        .unwrap_or_else(|e| panic!("{id}: default program must simulate: {e}"));
-    (app.program, report.cycles)
+    let report = simulate(&app.program, machine, sys)?;
+    Ok((app.program, report.cycles))
 }
 
 /// Validates a stored winner: both the default and the winning program
@@ -308,8 +314,7 @@ fn revalidate(
     sys: &SystemParams,
     stored: &persist::StoredTuned,
 ) -> bool {
-    let (_, default_cycles) = default_report(id, machine, sys);
-    if default_cycles != stored.default_cycles {
+    if !matches!(default_report(id, machine, sys), Ok((_, c)) if c == stored.default_cycles) {
         return false;
     }
     let app = id.program_with(
@@ -320,6 +325,16 @@ fn revalidate(
     matches!(simulate(&app.program, machine, sys), Ok(r) if r.cycles == stored.tuned_cycles)
 }
 
+/// [`try_tune_app`] for callers that know the default program fits.
+///
+/// # Panics
+///
+/// If `id`'s default program does not simulate on `machine`.
+pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
+    try_tune_app(id, machine, sys)
+        .unwrap_or_else(|e| panic!("{id}: default program must simulate: {e}"))
+}
+
 /// Tunes `id` for `machine` under `sys`: returns the fastest found
 /// configuration, never slower than the default (which is always
 /// evaluated first and wins ties).
@@ -328,15 +343,21 @@ fn revalidate(
 /// candidate order is fixed, the objective is the analytic simulator, and
 /// no wall-clock measurement is involved — so results are identical at
 /// any `--jobs` level and across runs.
-pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
+///
+/// # Errors
+///
+/// The default program's [`SimError`] when it does not run on `machine`
+/// (e.g. RENDER's strips overflow the SRF at C=8 N=2): there is no
+/// baseline to tune against.
+pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<Tuned, SimError> {
     ensure_registered();
     let compiles_before = stream_grid::global_cache().stats().compiles;
 
     if !search_enabled() {
-        let (program, default_cycles) = default_report(id, machine, sys);
+        let (program, default_cycles) = default_report(id, machine, sys)?;
         let kernels = id.kernels(machine);
         let (tape, native_auto) = pick_tier(&kernels, &program);
-        return Tuned {
+        return Ok(Tuned {
             app: id,
             candidate: Candidate {
                 tape,
@@ -349,7 +370,7 @@ pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
             pruned: 0,
             evaluated: 0,
             sched_compiles: stream_grid::global_cache().stats().compiles - compiles_before,
-        };
+        });
     }
 
     let space = TuneSpace::from_env();
@@ -359,7 +380,7 @@ pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
             REHYDRATED.incr();
             let delta = stream_grid::global_cache().stats().compiles - compiles_before;
             SCHED_COMPILES.add(delta);
-            return Tuned {
+            return Ok(Tuned {
                 app: id,
                 candidate: stored.winner,
                 default_cycles: stored.default_cycles,
@@ -368,12 +389,12 @@ pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
                 pruned: 0,
                 evaluated: 0,
                 sched_compiles: delta,
-            };
+            });
         }
     }
 
+    let (default_program, default_cycles) = default_report(id, machine, sys)?;
     SEARCHES.incr();
-    let (default_program, default_cycles) = default_report(id, machine, sys);
     CANDIDATES.incr();
 
     let totals = kernel_record_totals(&default_program);
@@ -490,7 +511,7 @@ pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
         },
     );
 
-    Tuned {
+    Ok(Tuned {
         app: id,
         candidate: winner,
         default_cycles,
@@ -499,7 +520,7 @@ pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
         pruned,
         evaluated,
         sched_compiles: delta,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -560,7 +581,7 @@ mod tests {
         // subset, the subset compiles identically. Check it directly — the
         // default set's picks, offered alone, rebuild the same program.
         let m = Machine::baseline();
-        let (default_program, _) = default_report(AppId::Depth, &m, &sys());
+        let (default_program, _) = default_report(AppId::Depth, &m, &sys()).unwrap();
         let picks: Vec<u32> = unroll_picks(&default_program).into_values().collect();
         let mut factors = picks.clone();
         factors.sort_unstable();
@@ -577,7 +598,7 @@ mod tests {
     #[test]
     fn lower_bound_is_below_observed_cycles() {
         let m = Machine::baseline();
-        let (program, cycles) = default_report(AppId::Conv, &m, &sys());
+        let (program, cycles) = default_report(AppId::Conv, &m, &sys()).unwrap();
         let totals = kernel_record_totals(&program);
         let mut bounds: Vec<KernelBound> = AppId::Conv
             .kernels(&m)
@@ -609,6 +630,15 @@ mod tests {
         let render = tune_app(AppId::Render, &m, &sys());
         assert_eq!(conv.candidate.tape, TapeTier::V2);
         assert_eq!(render.candidate.tape, TapeTier::V2Batch);
+    }
+
+    #[test]
+    fn an_overflowing_default_program_is_an_error_not_a_panic() {
+        let m = Machine::paper(Shape::new(8, 2));
+        for id in [AppId::Render, AppId::Fft4k] {
+            let err = try_tune_app(id, &m, &sys()).unwrap_err();
+            assert!(matches!(err, SimError::SrfOverflow { .. }), "{id}: {err}");
+        }
     }
 
     #[test]

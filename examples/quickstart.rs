@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use std::sync::Arc;
 use stream_ir::{KernelBuilder, Ty};
 use stream_scaling::machine::{Machine, SystemParams};
 use stream_scaling::vlsi::{CostModel, Shape};
@@ -52,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut compiled = None;
     for shape in [Shape::BASELINE, Shape::HEADLINE_640] {
         let machine = Machine::paper(shape);
-        let c = CompiledKernel::compile_default(&kernel, &machine)?;
+        let c = Arc::new(CompiledKernel::compile_default(&kernel, &machine)?);
         println!("{shape}: {c}");
         compiled = Some((machine, c));
     }
@@ -61,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (machine, c) = compiled.expect("compiled above");
     let n = 1 << 16;
     let mut p = ProgramBuilder::new();
-    let x_stream = p.load("x", n);
-    let y_stream = p.load("y", n);
+    let x_stream = p.load(n);
+    let y_stream = p.load(n);
     let outs = p.kernel(&c, &[x_stream, y_stream], &[n], n);
     p.store(outs[0]);
     let report = simulate(&p.finish(), &machine, &SystemParams::paper_2007())?;

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from kernel source to
 //! simulated application, exercised the way a user of the library would.
 
+use std::sync::Arc;
 use stream_scaling::apps::{self, AppId};
 use stream_scaling::ir::{execute, ExecConfig, KernelBuilder, Scalar, Ty};
 use stream_scaling::kernels::KernelId;
@@ -40,11 +41,12 @@ fn write_verify_compile_simulate() {
     let mut last_cycles = u64::MAX;
     for shape in [Shape::new(8, 5), Shape::new(32, 5), Shape::new(128, 10)] {
         let machine = Machine::paper(shape);
-        let compiled = CompiledKernel::compile_default(&kernel, &machine).expect("schedules");
+        let compiled =
+            Arc::new(CompiledKernel::compile_default(&kernel, &machine).expect("schedules"));
         // Sized so input + output fit the baseline machine's 44k-word SRF.
         let n = 1 << 14;
         let mut p = ProgramBuilder::new();
-        let data = p.load("in", n);
+        let data = p.load(n);
         let o = p.kernel(&compiled, &[data], &[n], n);
         p.store(o[0]);
         let r = simulate(&p.finish(), &machine, &sys).expect("simulates");
