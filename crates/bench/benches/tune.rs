@@ -43,7 +43,7 @@ fn emit_json() {
             t.speedup()
         ));
         evaluated += t.evaluated;
-        pruned += t.pruned;
+        pruned += t.pruned.total();
         compiles += t.sched_compiles;
     }
 

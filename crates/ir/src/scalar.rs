@@ -23,27 +23,13 @@ impl fmt::Display for Ty {
 }
 
 /// A runtime 32-bit word.
-///
-/// The `#[repr(u32)]` makes the layout a guarantee (RFC 2195): a `u32`
-/// discriminant (`I32 = 0`, `F32 = 1`) followed by the 4-byte payload —
-/// 8 bytes total, no padding, payload at offset 4. The native tape
-/// backend relies on this to read and write scalar buffers directly as
-/// `(tag, payload)` `u32` pairs across the FFI boundary, skipping the
-/// tagged→untagged marshalling the interpreter tiers pay per call.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(u32)]
 pub enum Scalar {
     /// Integer word.
-    I32(i32) = 0,
+    I32(i32),
     /// Floating-point word.
-    F32(f32) = 1,
+    F32(f32),
 }
-
-/// Compile-time checks of the layout contract the native backend uses.
-const _: () = {
-    assert!(std::mem::size_of::<Scalar>() == 8);
-    assert!(std::mem::align_of::<Scalar>() == 4);
-};
 
 impl Scalar {
     /// The zero value of `ty`.
@@ -138,15 +124,5 @@ mod tests {
     fn display() {
         assert_eq!(Scalar::I32(42).to_string(), "42");
         assert_eq!(Ty::F32.to_string(), "f32");
-    }
-
-    #[test]
-    fn repr_is_tag_payload_pair() {
-        // The native backend reads/writes Scalars as (tag, payload) u32
-        // pairs; this pins the exact bit layout it assumes.
-        let i: [u32; 2] = unsafe { std::mem::transmute(Scalar::I32(0x1234_5678)) };
-        assert_eq!(i, [0, 0x1234_5678]);
-        let f: [u32; 2] = unsafe { std::mem::transmute(Scalar::F32(1.5)) };
-        assert_eq!(f, [1, 1.5f32.to_bits()]);
     }
 }

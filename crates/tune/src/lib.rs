@@ -1,5 +1,5 @@
 //! `stream-tune`: cost-guided per-application auto-tuning of unroll
-//! factor × strip batching × tape tier × native policy.
+//! factor × strip batching.
 //!
 //! The paper fixes one scheduling recipe for every application; this crate
 //! searches a small configuration space per `(app, machine)` instead and
@@ -11,10 +11,6 @@
 //! * **Strip batching** — how many natural strips each stream-level kernel
 //!   call covers ([`stream_apps::AppId::program_with`]), trading SRF
 //!   residency for fill/drain amortization.
-//! * **Tape tier** ([`TapeTier`]) and the tier-3 native-backend policy —
-//!   functional-execution knobs that cannot change results (every tier is
-//!   differential-tested bit-exact), chosen by a static cost model over
-//!   the compiled tapes.
 //!
 //! The objective is deterministic: analytic simulated cycles of the
 //! candidate's stream program ([`stream_sim::simulate`]), ties broken
@@ -49,10 +45,15 @@
 //! never-worse-than-default guarantee is unaffected because the default
 //! point is always evaluated directly.)
 //!
-//! Together the two rules make the search run measurably fewer scheduler
+//! A candidate set with no feasible factor at all (no MII bound) is
+//! discarded as *infeasible*; the shipped space cannot produce one, since
+//! every set contains 1.
+//!
+//! Together the rules make the search run measurably fewer scheduler
 //! invocations than the raw cross-product; the compile count is exposed
 //! as `tune.sched_compiles` and asserted strictly below the cross-product
-//! in tests.
+//! in tests. Each rule has its own counter (`tune.pruned_identity`,
+//! `tune.pruned_bound`, `tune.pruned_infeasible`).
 //!
 //! # Persistence
 //!
@@ -76,26 +77,23 @@ mod persist;
 mod space;
 
 pub use persist::attach_global_disk;
-pub use space::{search_enabled, Candidate, TapeTier, TuneSpace};
+pub use space::{search_enabled, Candidate, TuneSpace};
 
 use std::collections::BTreeMap;
 use std::sync::Once;
 
 use stream_apps::AppId;
-use stream_ir::{Kernel, Tape};
+use stream_ir::Kernel;
 use stream_machine::{Machine, SystemParams};
 use stream_sched::{CompileOptions, SearchMemo};
 use stream_sim::{simulate, SimError, StreamInstr, StreamProgram};
 use stream_trace::Counter;
 
-/// Work floor below which the native tier would refuse to engage anyway
-/// (mirrors the native backend's own `MIN_WORK` gate): per-call records ×
-/// tape loop length.
-const NATIVE_WORK_FLOOR: u64 = 1 << 14;
-
 static SEARCHES: Counter = Counter::new();
 static REHYDRATED: Counter = Counter::new();
-static PRUNED: Counter = Counter::new();
+static PRUNED_IDENTITY: Counter = Counter::new();
+static PRUNED_BOUND: Counter = Counter::new();
+static PRUNED_INFEASIBLE: Counter = Counter::new();
 static CANDIDATES: Counter = Counter::new();
 static SCHED_COMPILES: Counter = Counter::new();
 
@@ -104,7 +102,9 @@ fn ensure_registered() {
     ONCE.call_once(|| {
         stream_trace::register_counter("tune.searches", &SEARCHES);
         stream_trace::register_counter("tune.rehydrated", &REHYDRATED);
-        stream_trace::register_counter("tune.pruned", &PRUNED);
+        stream_trace::register_counter("tune.pruned_identity", &PRUNED_IDENTITY);
+        stream_trace::register_counter("tune.pruned_bound", &PRUNED_BOUND);
+        stream_trace::register_counter("tune.pruned_infeasible", &PRUNED_INFEASIBLE);
         stream_trace::register_counter("tune.candidates", &CANDIDATES);
         stream_trace::register_counter("tune.sched_compiles", &SCHED_COMPILES);
     });
@@ -118,8 +118,15 @@ pub struct TuneStats {
     pub searches: u64,
     /// Results served by the persistent tier after re-validation.
     pub rehydrated: u64,
-    /// Candidates discarded by the MII lower bound before compiling.
+    /// Candidates discarded before compiling, by any rule: the sum of the
+    /// three per-rule counts below.
     pub pruned: u64,
+    /// Candidates discarded by identity pruning.
+    pub pruned_identity: u64,
+    /// Candidates discarded by the MII lower bound.
+    pub pruned_bound: u64,
+    /// Candidates discarded for having no feasible unroll factor.
+    pub pruned_infeasible: u64,
     /// Candidates actually simulated (includes each search's baseline).
     pub candidates: u64,
     /// Scheduler invocations attributed to tuning searches.
@@ -129,10 +136,18 @@ pub struct TuneStats {
 /// Reads the process-wide tuner counters.
 pub fn stats() -> TuneStats {
     ensure_registered();
+    let (identity, bound, infeasible) = (
+        PRUNED_IDENTITY.get(),
+        PRUNED_BOUND.get(),
+        PRUNED_INFEASIBLE.get(),
+    );
     TuneStats {
         searches: SEARCHES.get(),
         rehydrated: REHYDRATED.get(),
-        pruned: PRUNED.get(),
+        pruned: identity + bound + infeasible,
+        pruned_identity: identity,
+        pruned_bound: bound,
+        pruned_infeasible: infeasible,
         candidates: CANDIDATES.get(),
         sched_compiles: SCHED_COMPILES.get(),
     }
@@ -151,12 +166,31 @@ pub struct Tuned {
     pub tuned_cycles: u64,
     /// Whether this result was rehydrated from the persistent tier.
     pub from_disk: bool,
-    /// Candidates discarded by the lower bound in this call.
-    pub pruned: u64,
+    /// Candidates discarded unseen in this call, by rule.
+    pub pruned: Pruned,
     /// Candidates simulated in this call (0 when rehydrated/disabled).
     pub evaluated: u64,
     /// Scheduler compiles the global cache attributed to this call.
     pub sched_compiles: u64,
+}
+
+/// Candidates one search discarded without compiling, by pruning rule
+/// (see the crate docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Pruned {
+    /// An evaluated superset already fixes this candidate's program.
+    pub identity: u64,
+    /// The MII lower bound already meets the incumbent's cycles.
+    pub bound: u64,
+    /// No unroll factor in the set is feasible.
+    pub infeasible: u64,
+}
+
+impl Pruned {
+    /// Candidates discarded by any rule.
+    pub fn total(&self) -> u64 {
+        self.identity + self.bound + self.infeasible
+    }
 }
 
 impl Tuned {
@@ -232,67 +266,6 @@ fn lower_bound(bounds: &mut [KernelBound], machine: &Machine, set: &[u32]) -> Op
     Some(lb)
 }
 
-/// Static cost of running `kernels` on `tier`, in scaled "interpreter
-/// steps": loop ops weigh 8× hoisted ops (they run every iteration),
-/// macro-batching earns a 7/8 discount on kernels it can legally batch,
-/// and the planar rewrite pays a 9/8 penalty (the measured edge-transpose
-/// loss on strips that fit in cache — see `TapeConfig::planar`).
-fn tier_cost(kernels: &[Kernel], tier: TapeTier) -> u64 {
-    let cfg = tier.config(false);
-    kernels
-        .iter()
-        .map(|k| {
-            let tape = Tape::compile_with(k, cfg);
-            let mut c = (8 * tape.loop_len() + tape.hoisted_len()) as u64 * 8;
-            if cfg.batch && tape.batchable() {
-                c = c * 7 / 8;
-            }
-            if cfg.planar {
-                c = c * 9 / 8;
-            }
-            c
-        })
-        .sum()
-}
-
-/// Picks the cheapest tape tier (ties to the earlier tier in
-/// [`TapeTier::ALL`]) and decides the native policy: allow tier 3 only if
-/// some call's work (records × loop length) clears the native tier's own
-/// minimum-work gate — below that the attempt would just burn a `rustc`
-/// invocation to then fall back.
-fn pick_tier(kernels: &[Kernel], program: &StreamProgram) -> (TapeTier, bool) {
-    let mut best = TapeTier::ALL[0];
-    let mut best_cost = u64::MAX;
-    for tier in TapeTier::ALL {
-        let cost = tier_cost(kernels, tier);
-        if cost < best_cost {
-            best = tier;
-            best_cost = cost;
-        }
-    }
-    let loop_lens: BTreeMap<&str, u64> = kernels
-        .iter()
-        .map(|k| {
-            (
-                k.name(),
-                Tape::compile_with(k, TapeTier::V2.config(false)).loop_len() as u64,
-            )
-        })
-        .collect();
-    let native_auto = program.instrs().iter().any(|i| {
-        if let StreamInstr::Kernel {
-            kernel, records, ..
-        } = i
-        {
-            let len = loop_lens.get(kernel.name()).copied().unwrap_or(0);
-            records.saturating_mul(len) >= NATIVE_WORK_FLOOR
-        } else {
-            false
-        }
-    });
-    (best, native_auto)
-}
-
 /// The default program and its simulated cycles. An application whose
 /// default program cannot run on `machine` (its strips overflow a small
 /// SRF) has no baseline to tune against, so the error is the verdict.
@@ -354,20 +327,14 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
     let compiles_before = stream_grid::global_cache().stats().compiles;
 
     if !search_enabled() {
-        let (program, default_cycles) = default_report(id, machine, sys)?;
-        let kernels = id.kernels(machine);
-        let (tape, native_auto) = pick_tier(&kernels, &program);
+        let (_, default_cycles) = default_report(id, machine, sys)?;
         return Ok(Tuned {
             app: id,
-            candidate: Candidate {
-                tape,
-                native_auto,
-                ..Candidate::default_point()
-            },
+            candidate: Candidate::default_point(),
             default_cycles,
             tuned_cycles: default_cycles,
             from_disk: false,
-            pruned: 0,
+            pruned: Pruned::default(),
             evaluated: 0,
             sched_compiles: stream_grid::global_cache().stats().compiles - compiles_before,
         });
@@ -386,7 +353,7 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
                 default_cycles: stored.default_cycles,
                 tuned_cycles: stored.tuned_cycles,
                 from_disk: true,
-                pruned: 0,
+                pruned: Pruned::default(),
                 evaluated: 0,
                 sched_compiles: delta,
             });
@@ -413,7 +380,7 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
 
     let mut best = Candidate::default_point();
     let mut best_cycles = default_cycles;
-    let mut pruned = 0u64;
+    let mut pruned = Pruned::default();
     let mut evaluated = 1u64; // the default point
                               // The bound depends only on the unroll set, not the strip scale;
                               // memoize per set so the three strip variants share one computation.
@@ -427,7 +394,7 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
         strips: vec![1],
     }];
 
-    for cand in space.schedule_candidates().into_iter().skip(1) {
+    for cand in space.candidates().into_iter().skip(1) {
         if evaluated >= space.budget as u64 {
             break;
         }
@@ -441,8 +408,8 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
                 && r.picks.values().all(|u| cand.unroll_factors.contains(u))
         });
         if redundant {
-            pruned += 1;
-            PRUNED.incr();
+            pruned.identity += 1;
+            PRUNED_IDENTITY.incr();
             continue;
         }
         let lb = match lb_memo.iter().find(|(s, _)| *s == cand.unroll_factors) {
@@ -456,14 +423,14 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
         match lb {
             // No feasible factor at all: the compile would fail.
             None => {
-                pruned += 1;
-                PRUNED.incr();
+                pruned.infeasible += 1;
+                PRUNED_INFEASIBLE.incr();
                 continue;
             }
             // Provably cannot beat the incumbent: skip without compiling.
             Some(lb) if lb >= best_cycles as f64 => {
-                pruned += 1;
-                PRUNED.incr();
+                pruned.bound += 1;
+                PRUNED_BOUND.incr();
                 continue;
             }
             Some(_) => {}
@@ -489,14 +456,6 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
         }
     }
 
-    let kernels: Vec<Kernel> = bounds.into_iter().map(|b| b.kernel).collect();
-    let (tape, native_auto) = pick_tier(&kernels, &default_program);
-    let winner = Candidate {
-        tape,
-        native_auto,
-        ..best
-    };
-
     let delta = stream_grid::global_cache().stats().compiles - compiles_before;
     SCHED_COMPILES.add(delta);
 
@@ -505,7 +464,7 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
         machine,
         &space,
         &persist::StoredTuned {
-            winner: winner.clone(),
+            winner: best.clone(),
             default_cycles,
             tuned_cycles: best_cycles,
         },
@@ -513,7 +472,7 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
 
     Ok(Tuned {
         app: id,
-        candidate: winner,
+        candidate: best,
         default_cycles,
         tuned_cycles: best_cycles,
         from_disk: false,
@@ -571,8 +530,15 @@ mod tests {
             "pruned search ran {} scheduler compiles, cross-product needs {exhaustive}",
             t.sched_compiles
         );
-        assert!(t.pruned > 0, "expected pruning to discard candidates");
-        assert_eq!(t.pruned + t.evaluated, 21, "full space is 21 candidates");
+        assert!(
+            t.pruned.total() > 0,
+            "expected pruning to discard candidates"
+        );
+        assert_eq!(
+            t.pruned.total() + t.evaluated,
+            21,
+            "full space is 21 candidates"
+        );
     }
 
     #[test]
@@ -621,15 +587,13 @@ mod tests {
     }
 
     #[test]
-    fn tier_choice_differentiates_apps() {
-        let m = Machine::baseline();
-        // CONV's convolve kernel uses COMM ops, which are not batchable;
-        // RENDER's pipeline has batchable stages. The static tier cost must
-        // see that difference.
-        let conv = tune_app(AppId::Conv, &m, &sys());
-        let render = tune_app(AppId::Render, &m, &sys());
-        assert_eq!(conv.candidate.tape, TapeTier::V2);
-        assert_eq!(render.candidate.tape, TapeTier::V2Batch);
+    fn the_bound_rule_fires_on_the_paper_grid() {
+        // DEPTH at C=8 N=2 is the paper-grid cell where the MII lower bound
+        // discards candidates the identity rule cannot (DESIGN §16).
+        let m = Machine::paper(Shape::new(8, 2));
+        let t = tune_app(AppId::Depth, &m, &sys());
+        assert!(t.pruned.bound >= 1, "{t:?}");
+        assert_eq!(t.pruned.infeasible, 0, "{t:?}");
     }
 
     #[test]
