@@ -15,8 +15,8 @@
 //!   input;
 //! * recurrence slots are wired to the same initial bits and feed
 //!   expressions;
-//! * the strip/batch eligibility flags match an independent re-derivation
-//!   through the shared predicates in [`super::fuse`];
+//! * the batch eligibility flag matches an independent re-derivation
+//!   through the shared predicate in [`super::fuse`];
 //! * every instruction respects the SSA slot layout the const-generic
 //!   executor's `split_*` helpers rely on (operands strictly below the
 //!   destination, each slot defined before use and at most once).
@@ -72,8 +72,8 @@ pub enum TapeCheckKind {
     /// E207: a fallible or per-iteration instruction was hoisted into the
     /// once-per-call prologue.
     HoistedEffect,
-    /// E208: a strip/batch eligibility flag claims more than the shared
-    /// soundness predicates re-derive from the instruction stream.
+    /// E208: the batch eligibility flag claims more than the shared
+    /// soundness predicate re-derives from the instruction stream.
     FlagOverclaim,
     /// E209: a conditional stream's ordered (predicate, source) sequence
     /// diverges from the reference.
@@ -81,8 +81,8 @@ pub enum TapeCheckKind {
     /// E211: a stream access disagrees with the stream declaration
     /// (stream index, record width, in-record offset, or conditionality).
     AccessShape,
-    /// W201: the tape forgoes an eligibility the predicates re-derive
-    /// (strip or batch), leaving performance on the table.
+    /// W201: the tape forgoes the batch eligibility the predicate
+    /// re-derives, leaving performance on the table.
     MissedEligibility,
     /// W202: a bounds check is provably dead (the access is in range for
     /// every input) — a check-elimination candidate for tape v3.
@@ -1346,26 +1346,12 @@ pub(crate) fn check_tape(tape: &Tape) -> Vec<TapeFinding> {
         }
     }
 
-    // Eligibility flags vs the shared predicates' independent re-derivation.
-    let strip = fuse::derive_strip_eligible(&tape.body, tape.recurs.len());
-    let batch = fuse::derive_batchable(&tape.prologue, &tape.body, strip);
-    if tape.strip_eligible && !strip {
-        findings.push(TapeFinding {
-            kind: TapeCheckKind::FlagOverclaim,
-            message: "tape claims strip eligibility the body's instructions refute".into(),
-        });
-    }
+    // The batching flag vs the shared predicate's independent re-derivation.
+    let batch = fuse::derive_batchable(&tape.prologue, &tape.body, tape.recurs.len());
     if tape.batchable && !batch {
         findings.push(TapeFinding {
             kind: TapeCheckKind::FlagOverclaim,
             message: "tape claims batch eligibility the instruction stream refutes".into(),
-        });
-    }
-    if !tape.strip_eligible && strip {
-        findings.push(TapeFinding {
-            kind: TapeCheckKind::MissedEligibility,
-            message: "iterations are provably independent but the tape is not strip-eligible"
-                .into(),
         });
     }
     if !tape.batchable && batch {
@@ -1637,14 +1623,11 @@ pub enum TapeMutation {
     RewireRecurrence,
     /// Flip the first recurrence's initial bits → `RecurrenceWiring`.
     CorruptRecurrenceInit,
-    /// Claim strip eligibility on an iteration-coupled tape →
-    /// `FlagOverclaim`.
-    ClaimStripEligible,
     /// Claim batch eligibility on a topology-sensitive tape →
     /// `FlagOverclaim`.
     ClaimBatchable,
-    /// Clear strip eligibility on an eligible tape → `MissedEligibility`.
-    ClearStripEligible,
+    /// Clear batch eligibility on an eligible tape → `MissedEligibility`.
+    ClearBatchable,
     /// Delete the first output write → `WriteCoverage`.
     DropWrite,
     /// Delete the first defining body instruction whose value is used
@@ -1801,14 +1784,6 @@ impl Tape {
                 }
                 None => false,
             },
-            TapeMutation::ClaimStripEligible => {
-                if t.strip_eligible {
-                    false
-                } else {
-                    t.strip_eligible = true;
-                    true
-                }
-            }
             TapeMutation::ClaimBatchable => {
                 if t.batchable {
                     false
@@ -1817,9 +1792,8 @@ impl Tape {
                     true
                 }
             }
-            TapeMutation::ClearStripEligible => {
-                if t.strip_eligible {
-                    t.strip_eligible = false;
+            TapeMutation::ClearBatchable => {
+                if t.batchable {
                     t.batchable = false;
                     true
                 } else {
@@ -1938,7 +1912,7 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// Recurrence + conditional output: strip-ineligible, with every
+    /// Recurrence + conditional output: not batchable, with every
     /// recurrence- and cond-stream-shaped mutation site.
     fn accum() -> Kernel {
         let mut b = KernelBuilder::new("accum");
@@ -1966,10 +1940,7 @@ mod tests {
     }
 
     fn no_fuse() -> TapeConfig {
-        TapeConfig {
-            fuse: false,
-            ..TapeConfig::default()
-        }
+        TapeConfig { fuse: false }
     }
 
     fn errors(findings: &[TapeFinding]) -> Vec<&TapeFinding> {
@@ -2030,14 +2001,9 @@ mod tests {
                 Tape::compile(&accum()),
                 K::RecurrenceWiring,
             ),
-            (
-                M::ClaimStripEligible,
-                Tape::compile(&accum()),
-                K::FlagOverclaim,
-            ),
             (M::ClaimBatchable, Tape::compile(&accum()), K::FlagOverclaim),
             (
-                M::ClearStripEligible,
+                M::ClearBatchable,
                 Tape::compile(&saxpy()),
                 K::MissedEligibility,
             ),

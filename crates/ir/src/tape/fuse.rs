@@ -244,16 +244,6 @@ pub(crate) fn hoistable(ins: &Instr) -> bool {
     !ins.fallible() && !matches!(ins, Instr::IterIndex { .. } | Instr::LoadRecur { .. })
 }
 
-/// Whether `ins` couples consecutive iterations through shared mutable
-/// state (conditional-stream cursors, the scratchpad), making the tape
-/// ineligible for strip-parallel execution.
-pub(crate) fn strip_coupler(ins: &Instr) -> bool {
-    matches!(
-        ins,
-        Instr::CondRead { .. } | Instr::CondWrite { .. } | Instr::SpWrite { .. }
-    )
-}
-
 /// Whether `ins` observes the lane topology (cluster index/count, the
 /// iteration number, inter-cluster comm, scratchpad addressing) — exactly
 /// what macro-batching changes when it widens the lane vector.
@@ -269,18 +259,15 @@ pub(crate) fn lane_topology_sensitive(ins: &Instr) -> bool {
     )
 }
 
-/// Strip eligibility derived from the final instruction stream: no
-/// recurrences and no iteration-coupling instructions anywhere in the
-/// body.
-pub(crate) fn derive_strip_eligible(body: &[Instr], n_recurs: usize) -> bool {
-    n_recurs == 0 && !body.iter().any(strip_coupler)
-}
-
-/// Batch eligibility derived from the final instruction stream (given
-/// strip eligibility from [`derive_strip_eligible`]): additionally, no
-/// instruction anywhere may observe the lane topology.
-pub(crate) fn derive_batchable(prologue: &[Instr], body: &[Instr], strip_eligible: bool) -> bool {
-    strip_eligible
+/// Batch eligibility derived from the final instruction stream: no
+/// recurrences, no conditional-stream access in the body (its cursors
+/// couple consecutive iterations), and no instruction anywhere that
+/// observes the lane topology (which covers scratchpad writes).
+pub(crate) fn derive_batchable(prologue: &[Instr], body: &[Instr], n_recurs: usize) -> bool {
+    n_recurs == 0
+        && !body
+            .iter()
+            .any(|ins| matches!(ins, Instr::CondRead { .. } | Instr::CondWrite { .. }))
         && !prologue
             .iter()
             .chain(body.iter())

@@ -8,9 +8,8 @@
 //! layout (`vals[value * C + cluster]`), so the per-iteration loop is
 //! clone-free, allocation-free, and dispatches on a dense enum.
 //!
-//! On top of that base, this module adds three compile-time/run-time
-//! specializations (fusion and strip policy are controllable via
-//! [`TapeConfig`]):
+//! On top of that base, this module adds two compile-time/run-time
+//! specializations (fusion is controllable via [`TapeConfig`]):
 //!
 //! * **Fused superinstructions** ([`fuse`]): hot two/three-instruction
 //!   chains — multiply-accumulate shapes, op-into-write, read-into-op,
@@ -22,12 +21,6 @@
 //!   use a runtime-width generic instantiation. Lane-topology-neutral
 //!   kernels additionally run several iterations per dispatch
 //!   (macro-batching).
-//! * **Strip-parallel execution** ([`exec`]): kernels whose iterations are
-//!   provably independent (no recurrences, conditional streams, or
-//!   scratchpad writes) may partition their iteration range across scoped
-//!   worker threads drawing permits from the process-wide
-//!   [`stream_pool`] budget. Results and errors are bit-identical to the
-//!   serial schedule. Counted by `tape.strips` / `tape.strip_fallback`.
 //!
 //! Iteration-invariant ops (constants, params, cluster ids) are hoisted
 //! into a prologue executed once per kernel call.
@@ -55,8 +48,6 @@ pub use check::{TapeCheckKind, TapeFinding};
 
 #[doc(hidden)]
 pub use check::TapeMutation;
-#[doc(hidden)]
-pub use exec::probe_planned_strips;
 
 /// Whether every [`Tape::compile`] should be translation-validated, with
 /// error-severity findings turned into a panic. Defaults to on in debug
@@ -82,36 +73,16 @@ fn validate_on_compile() -> bool {
     })
 }
 
-/// Whether eligible kernels may execute iteration strips on worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StripMode {
-    /// Strip-parallelize when the kernel is eligible, the work is large
-    /// enough to amortize thread spawns, and the process-wide permit pool
-    /// grants workers. The default. The `STREAM_TAPE_STRIPS` environment
-    /// variable (`on`/`force` or `off`/`serial`) overrides Auto only.
-    Auto,
-    /// Never spawn workers.
-    Serial,
-    /// Always partition eligible kernels (up to 4 strips), bypassing both
-    /// the work threshold and the permit pool. For determinism testing.
-    Force,
-}
-
-/// Compile- and run-time knobs for [`Tape::compile_with`].
+/// Compile-time knobs for [`Tape::compile_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TapeConfig {
     /// Run the peephole fusion pass at compile time.
     pub fuse: bool,
-    /// Strip-parallel execution policy.
-    pub strips: StripMode,
 }
 
 impl Default for TapeConfig {
     fn default() -> Self {
-        Self {
-            fuse: true,
-            strips: StripMode::Auto,
-        }
+        Self { fuse: true }
     }
 }
 
@@ -153,12 +124,11 @@ pub struct Tape {
     uses_sp: bool,
     /// Fusion rewrites applied at compile time.
     fused: usize,
-    /// Iterations are provably independent: no recurrences, conditional
-    /// streams, or scratchpad writes survive in the final body.
-    strip_eligible: bool,
-    /// Strip-independent *and* lane-topology neutral: nothing observes the
-    /// cluster index/count, iteration number, comm topology, or scratchpad,
-    /// so consecutive iterations may execute as one wide dispatch.
+    /// Iterations are independent and lane-topology neutral: no
+    /// recurrences, conditional streams, or scratchpad writes survive in
+    /// the final body, and nothing observes the cluster index/count,
+    /// iteration number, comm topology, or scratchpad, so consecutive
+    /// iterations may execute as one wide dispatch.
     batchable: bool,
     config: TapeConfig,
 }
@@ -172,7 +142,7 @@ impl Tape {
         Self::compile_with(kernel, TapeConfig::default())
     }
 
-    /// Lowers `kernel` with explicit compile/execution knobs.
+    /// Lowers `kernel` with explicit compile knobs.
     pub fn compile_with(kernel: &Kernel, config: TapeConfig) -> Self {
         let mut compile_span = stream_trace::span("tape", "compile");
         compile_span.arg("kernel", kernel.name());
@@ -492,16 +462,14 @@ impl Tape {
             0
         };
         stream_trace::count("tape.fused_ops", fused as u64);
-        // Eligibility flags come from the shared soundness predicates in
-        // `fuse` — the same functions the translation validator re-runs,
-        // so an overclaimed flag is a validation error, not a silent
-        // miscompile. The serial executor may run BATCH consecutive
-        // iterations as one dispatch over `BATCH * c` lanes only if no
-        // instruction can tell the lane topology apart.
-        let strip_eligible = fuse::derive_strip_eligible(&body, recurs.len());
-        let batchable = fuse::derive_batchable(&prologue, &body, strip_eligible);
+        // The batching flag comes from the shared soundness predicate in
+        // `fuse` — the same function the translation validator re-runs, so
+        // an overclaimed flag is a validation error, not a silent
+        // miscompile. The executor may run BATCH consecutive iterations as
+        // one dispatch over `BATCH * c` lanes only if no instruction
+        // couples iterations or can tell the lane topology apart.
+        let batchable = fuse::derive_batchable(&prologue, &body, recurs.len());
         compile_span.arg("fused", fused);
-        compile_span.arg("strip_eligible", strip_eligible);
 
         let tape = Self {
             kernel: kernel.clone(),
@@ -511,7 +479,6 @@ impl Tape {
             n_vals: n,
             uses_sp,
             fused,
-            strip_eligible,
             batchable,
             config,
         };
@@ -555,12 +522,6 @@ impl Tape {
         findings
     }
 
-    /// Returns the tape with its strip policy replaced.
-    pub fn with_strip_mode(mut self, strips: StripMode) -> Self {
-        self.config.strips = strips;
-        self
-    }
-
     /// The kernel this tape was compiled from.
     pub fn kernel(&self) -> &Kernel {
         &self.kernel
@@ -580,12 +541,6 @@ impl Tape {
     /// Fusion rewrites applied at compile time.
     pub fn fused_ops(&self) -> usize {
         self.fused
-    }
-
-    /// Whether iterations are provably independent, making the kernel a
-    /// candidate for strip-parallel execution.
-    pub fn strip_eligible(&self) -> bool {
-        self.strip_eligible
     }
 
     /// The configuration this tape was compiled with.
@@ -829,7 +784,7 @@ mod tests {
         vec![ints, floats]
     }
 
-    /// A strip-eligible float kernel with fusible mul→add chains and a
+    /// A batchable float kernel with fusible mul→add chains and a
     /// const-operand op.
     fn saxpy_kernel() -> Kernel {
         let mut b = KernelBuilder::new("saxpy");
@@ -880,13 +835,7 @@ mod tests {
     #[test]
     fn iteration_invariant_ops_are_hoisted() {
         let k = busy_kernel();
-        let tape = Tape::compile_with(
-            &k,
-            TapeConfig {
-                fuse: false,
-                ..TapeConfig::default()
-            },
-        );
+        let tape = Tape::compile_with(&k, TapeConfig { fuse: false });
         // Consts, the param, cluster id/count never re-execute per iteration.
         assert!(tape.hoisted_len() >= 5, "{}", tape.hoisted_len());
         assert_eq!(tape.hoisted_len() + tape.loop_len(), k.ops().len());
@@ -896,13 +845,7 @@ mod tests {
     fn fusion_collapses_hot_chains_and_preserves_results() {
         let k = saxpy_kernel();
         let fused = Tape::compile(&k);
-        let unfused = Tape::compile_with(
-            &k,
-            TapeConfig {
-                fuse: false,
-                ..TapeConfig::default()
-            },
-        );
+        let unfused = Tape::compile_with(&k, TapeConfig { fuse: false });
         // mul→add collapses, and the final mul-by-const into the write
         // leaves a shorter body than the unfused tape.
         assert!(fused.fused_ops() > 0);
@@ -954,59 +897,6 @@ mod tests {
                 iteration: 1
             }
         );
-    }
-
-    #[test]
-    fn forced_strips_match_serial_execution() {
-        let k = saxpy_kernel();
-        let tape = Tape::compile(&k);
-        assert!(tape.strip_eligible());
-        let forced = tape.clone().with_strip_mode(StripMode::Force);
-        let serial = tape.with_strip_mode(StripMode::Serial);
-        let params = [Scalar::F32(-1.25)];
-        for c in [1usize, 4, 5] {
-            let inputs = saxpy_inputs(9, c);
-            assert_eq!(
-                forced.execute(&params, &inputs, &cfg(c)).unwrap(),
-                serial.execute(&params, &inputs, &cfg(c)).unwrap(),
-                "C={c}"
-            );
-        }
-    }
-
-    #[test]
-    fn strips_report_the_earliest_iteration_error() {
-        // Truncated input: a later strip's iterations are all out of
-        // bounds, but the reported error must be the first failing
-        // iteration — the one the serial schedule hits.
-        let k = saxpy_kernel();
-        let forced = Tape::compile(&k).with_strip_mode(StripMode::Force);
-        let serial = Tape::compile(&k).with_strip_mode(StripMode::Serial);
-        let params = [Scalar::F32(1.0)];
-        let c = 4;
-        let mut inputs = saxpy_inputs(3, c);
-        inputs[1].truncate(5); // sy exhausts at iteration 1
-        let opts = ExecOptions {
-            params: &params,
-            sp_init: None,
-            iterations: Some(8),
-        };
-        let want = serial.execute_with(&opts, &inputs, &cfg(c)).unwrap_err();
-        let got = forced.execute_with(&opts, &inputs, &cfg(c)).unwrap_err();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn ineligible_kernels_run_serial_under_force() {
-        let k = busy_kernel();
-        let tape = Tape::compile(&k);
-        // Recurrence + cond stream + SP writes: iterations are coupled.
-        assert!(!tape.strip_eligible());
-        let forced = tape.with_strip_mode(StripMode::Force);
-        let inputs = busy_inputs(6, 4);
-        let params = [Scalar::F32(0.5)];
-        let want = execute_legacy(&k, &params, &inputs, &cfg(4)).unwrap();
-        assert_eq!(forced.execute(&params, &inputs, &cfg(4)).unwrap(), want);
     }
 
     #[test]

@@ -147,9 +147,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // The tape's strip-parallel executor draws from the process-global
-    // permit pool; size it to the same worker budget as the sweep engine
-    // so `--jobs 1` keeps the whole run strictly serial.
+    // Size the process-global permit pool to the sweep engine's worker
+    // budget, which `--metrics` reports as `pool_permits_capacity`.
     stream_pool::configure_global(jobs.unwrap_or_else(stream_pool::default_parallelism));
     let engine = query.engine();
     for report in query.run_on(&engine) {

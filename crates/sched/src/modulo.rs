@@ -23,14 +23,21 @@ impl ModuloSchedule {
         }
     }
 
-    /// Flat schedule length in cycles (prologue + one kernel iteration).
+    /// Flat schedule length in cycles (prologue + one kernel iteration),
+    /// saturating at `u32::MAX`.
     pub fn length(&self, ddg: &Ddg) -> u32 {
+        self.checked_length(ddg).unwrap_or(u32::MAX)
+    }
+
+    /// [`ModuloSchedule::length`], or `None` when a start time plus its
+    /// latency overflows `u32` (only a hostile schedule can do that).
+    pub(crate) fn checked_length(&self, ddg: &Ddg) -> Option<u32> {
         ddg.nodes()
             .iter()
             .zip(&self.times)
-            .map(|(n, &t)| t + n.latency)
-            .max()
-            .unwrap_or(0)
+            .try_fold(0u32, |len, (n, &t)| {
+                Some(len.max(t.checked_add(n.latency)?))
+            })
     }
 
     /// Verifies dependence and resource legality against `ddg`/`machine`.

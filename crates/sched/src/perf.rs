@@ -448,8 +448,9 @@ impl CompiledKernel {
     /// freshly built dependence graph first.
     ///
     /// Returns `None` — "recompile, please" — if the recipe does not fit
-    /// this `(kernel, machine, opts)` triple: wrong node count, an illegal
-    /// schedule (dependence or resource violation), a register estimate
+    /// this `(kernel, machine, opts)` triple: wrong node count, an II no
+    /// compile could produce, an illegal schedule (dependence or resource
+    /// violation), a register estimate
     /// over capacity while `opts.respect_registers`, a schedule longer than
     /// `opts.max_length`, overlapped iterations while software pipelining
     /// is disabled, or a verifier rejection while `opts.verify`. A recipe
@@ -472,15 +473,25 @@ impl CompiledKernel {
         if recipe.times.len() != ddg.nodes().len() {
             return None;
         }
+        // No compile produces an II above the IMS search cap (2·MII + 32)
+        // or, after no-SWP stretching or register deepening, above
+        // `max_length`; reject before `verify` allocates II slots.
+        let bounds = MiiBounds::compute(&ddg, machine);
+        let ii_cap = opts
+            .max_length
+            .max(bounds.mii().saturating_mul(2).saturating_add(32));
+        if recipe.ii > ii_cap {
+            return None;
+        }
         let sched = ModuloSchedule {
             ii: recipe.ii,
             times: recipe.times.clone(),
         };
-        sched.verify(&ddg, machine).ok()?;
-        let length = sched.length(&ddg);
+        let length = sched.checked_length(&ddg)?;
         if length > opts.max_length {
             return None;
         }
+        sched.verify(&ddg, machine).ok()?;
         if !opts.software_pipelining && sched.stages() != 1 {
             return None;
         }
@@ -494,7 +505,6 @@ impl CompiledKernel {
                 return None;
             }
         }
-        let bounds = MiiBounds::compute(&ddg, machine);
         span.arg("ii", sched.ii);
         Some(Self {
             name: kernel.name().to_string(),
@@ -937,5 +947,92 @@ mod tests {
         // length budget is enforced.
         let tight = CompileOptions::new().max_length(1);
         assert!(CompiledKernel::rehydrate(&k, &m, &tight, &good).is_none());
+    }
+
+    /// read → mul → add → write at C=8 N=5: a four-node recipe, small
+    /// enough to mutate bit by bit.
+    fn small_recipe() -> (Kernel, Machine, CompileOptions, ScheduleRecipe) {
+        let mut b = KernelBuilder::new("read_mul_add");
+        let s = b.in_stream(Ty::F32);
+        let out = b.out_stream(Ty::F32);
+        let x = b.read(s);
+        let m = b.mul(x, x);
+        let a = b.add(m, x);
+        b.write(out, a);
+        let k = b.finish().unwrap();
+        let m = Machine::paper(Shape::new(8, 5));
+        let opts = CompileOptions::new().verify(true);
+        let recipe = CompiledKernel::compile(&k, &m, &opts).unwrap().recipe();
+        (k, m, opts, recipe)
+    }
+
+    #[test]
+    fn rehydrate_rejects_hostile_iis_and_start_times() {
+        let (k, m, opts, good) = small_recipe();
+        assert_eq!(
+            good,
+            ScheduleRecipe {
+                unroll: 1,
+                ii: 1,
+                times: vec![0, 3, 7, 11],
+            }
+        );
+        assert!(CompiledKernel::rehydrate(&k, &m, &opts, &good).is_some());
+        // An II of u32::MAX would size a 64 GiB slot table, a last start
+        // time of u32::MAX overflows the length, and an II of a million
+        // passes `verify` although no compile produces it.
+        let mut late = good.clone();
+        *late.times.last_mut().unwrap() = u32::MAX;
+        for hostile in [
+            ScheduleRecipe {
+                ii: u32::MAX,
+                ..good.clone()
+            },
+            late,
+            ScheduleRecipe {
+                ii: 1_000_000,
+                ..good.clone()
+            },
+        ] {
+            assert!(
+                CompiledKernel::rehydrate(&k, &m, &opts, &hostile).is_none(),
+                "{hostile:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Bit flips, truncations and extensions of a real encoded recipe
+        /// never panic: each is rejected by the decoder or by rehydration,
+        /// or rehydrates to a schedule the independent verifier accepts.
+        #[test]
+        fn mutated_recipes_are_rejected_or_verified(
+            kind in 0u8..3,
+            at in proptest::prelude::any::<u32>(),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..8),
+        ) {
+            let (k, m, opts, good) = small_recipe();
+            let bytes = good.encode();
+            let mutant = match kind {
+                0 => {
+                    let bit = at as usize % (bytes.len() * 8);
+                    let mut b = bytes.clone();
+                    b[bit / 8] ^= 1 << (bit % 8);
+                    b
+                }
+                1 => bytes[..at as usize % bytes.len()].to_vec(),
+                _ => [bytes.as_slice(), tail.as_slice()].concat(),
+            };
+            let Some(recipe) = ScheduleRecipe::decode(&mutant) else {
+                return Ok(());
+            };
+            let Some(c) = CompiledKernel::rehydrate(&k, &m, &opts, &recipe) else {
+                return Ok(());
+            };
+            let report = crate::check_schedule(c.ddg(), c.schedule(), &m);
+            proptest::prop_assert!(!report.has_errors(), "{:?} accepted:\n{}", recipe, report);
+        }
     }
 }

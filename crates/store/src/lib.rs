@@ -289,11 +289,12 @@ fn decode_frame(bytes: &[u8]) -> Option<&[u8]> {
     if version != FRAME_VERSION {
         return None;
     }
-    let len = u64::from_le_bytes(bytes[8..16].try_into().ok()?) as usize;
-    if bytes.len() != header + len + 8 {
+    let len = usize::try_from(u64::from_le_bytes(bytes[8..16].try_into().ok()?)).ok()?;
+    let body_len = len.checked_add(header)?;
+    if bytes.len() != body_len.checked_add(8)? {
         return None;
     }
-    let (body, sum_bytes) = bytes.split_at(header + len);
+    let (body, sum_bytes) = bytes.split_at(body_len);
     let sum = u64::from_le_bytes(sum_bytes.try_into().ok()?);
     if fnv1a(body) != sum {
         return None;
@@ -423,6 +424,56 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         assert_eq!(s.get(k), None);
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_hostile_frame_length_is_a_miss() {
+        // Valid magic and version, but a length field of u64::MAX: the
+        // size arithmetic must not overflow.
+        let mut frame = encode_frame(b"data");
+        frame[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode_frame(&frame), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Bit flips, truncations, extensions and rewritten length fields
+        /// of a real frame never panic: each decodes to nothing, or to a
+        /// payload that re-frames to exactly the mutated bytes.
+        #[test]
+        fn mutated_frames_are_misses_or_round_trip(
+            kind in 0u8..4,
+            at in proptest::prelude::any::<u64>(),
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..8),
+        ) {
+            let frame = encode_frame(&payload);
+            let mutant = match kind {
+                0 => {
+                    let bit = at as usize % (frame.len() * 8);
+                    let mut m = frame.clone();
+                    m[bit / 8] ^= 1 << (bit % 8);
+                    m
+                }
+                1 => frame[..at as usize % frame.len()].to_vec(),
+                2 => [frame.as_slice(), tail.as_slice()].concat(),
+                _ => {
+                    // Arbitrary lengths, near-misses, and lengths next to
+                    // the top of the range.
+                    let len = match at % 3 {
+                        0 => at,
+                        1 => at % 40,
+                        _ => u64::MAX - at % 40,
+                    };
+                    let mut m = frame.clone();
+                    m[8..16].copy_from_slice(&len.to_le_bytes());
+                    m
+                }
+            };
+            let back = decode_frame(&mutant).map(encode_frame);
+            proptest::prop_assert!(back.is_none() || back.as_ref() == Some(&mutant));
+        }
     }
 
     #[test]

@@ -36,13 +36,7 @@ fn gap(fuse: bool) -> Tape {
     let s = b.add(y, y);
     let r = b.add(x, s);
     b.write(out, r);
-    Tape::compile_with(
-        &b.finish().unwrap(),
-        TapeConfig {
-            fuse,
-            ..TapeConfig::default()
-        },
-    )
+    Tape::compile_with(&b.finish().unwrap(), TapeConfig { fuse })
 }
 
 fn accum() -> Tape {
@@ -169,15 +163,6 @@ fn e207_hoisted_fallible_instruction() {
 }
 
 #[test]
-fn e208_overclaimed_strip_eligibility() {
-    assert_rejected(
-        &accum(),
-        TapeMutation::ClaimStripEligible,
-        Code::TapeFlagOverclaim,
-    );
-}
-
-#[test]
 fn e208_overclaimed_batchability() {
     assert_rejected(
         &accum(),
@@ -203,8 +188,8 @@ fn e211_retargeted_write_offset() {
 // --------------------------------------------------------- W2xx warnings
 
 #[test]
-fn w201_cleared_strip_eligibility() {
-    let r = validate_tape(&saxpy().corrupted(TapeMutation::ClearStripEligible));
+fn w201_cleared_batchability() {
+    let r = validate_tape(&saxpy().corrupted(TapeMutation::ClearBatchable));
     assert!(r.has(Code::TapeMissedEligibility), "{r}");
     assert!(!r.has_errors(), "{r}");
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use stream_scaling::grid::KernelCache;
 use stream_scaling::ir::{
     execute, execute_with_legacy, parse_kernel, to_text, unroll, ExecConfig, ExecOptions, Kernel,
-    KernelBuilder, Scalar, StripMode, Tape, TapeConfig, Ty, ValueId,
+    KernelBuilder, Scalar, Tape, TapeConfig, Ty, ValueId,
 };
 use stream_scaling::kernels::fft::{dft_reference, fft_reference, C32};
 use stream_scaling::kernels::split::{gather_words, max_chain, scatter_words, split_plan};
@@ -142,8 +142,7 @@ proptest! {
 
     /// The compiled execution tape is observationally identical to the
     /// legacy tree-walk interpreter on every execution path — fused and
-    /// unfused, serial (macro-batched where legal) and forced
-    /// strip-parallel — for random valid kernels (with and without
+    /// unfused, macro-batched where legal — for random valid kernels (with and without
     /// recurrences and conditional streams), random inputs, and C in
     /// {1, 3, 4, 8, 16}: same outputs (bit for bit) and identical
     /// `IrError` values when the inputs are truncated. The default
@@ -185,18 +184,15 @@ proptest! {
         };
         let legacy = execute_with_legacy(&k, &opts, &inputs, &cfg).map(output_bits);
         for fuse in [true, false] {
-            for strips in [StripMode::Serial, StripMode::Force] {
-                let got = Tape::compile_with(&k, TapeConfig { fuse, strips })
-                    .execute_with(&opts, &inputs, &cfg)
-                    .map(output_bits);
-                prop_assert_eq!(
-                    &legacy,
-                    &got,
-                    "fuse={} strips={:?} diverged from the legacy interpreter",
-                    fuse,
-                    strips
-                );
-            }
+            let got = Tape::compile_with(&k, TapeConfig { fuse })
+                .execute_with(&opts, &inputs, &cfg)
+                .map(output_bits);
+            prop_assert_eq!(
+                &legacy,
+                &got,
+                "fuse={} diverged from the legacy interpreter",
+                fuse
+            );
         }
         let default = Tape::compile(&k).execute_with(&opts, &inputs, &cfg).map(output_bits);
         prop_assert_eq!(&legacy, &default);
@@ -284,7 +280,7 @@ proptest! {
         let legacy = execute_with_legacy(&k, &opts, &inputs, &cfg).map(output_bits);
         for config in [
             TapeConfig::default(),
-            TapeConfig { fuse: false, ..TapeConfig::default() },
+            TapeConfig { fuse: false },
         ] {
             let tape = Tape::compile_with(&k, config);
             let report = validate_tape(&tape);
